@@ -1,13 +1,14 @@
 package repro.discovery
 
 import org.apache.spark.sql.SparkSession
+import scala.collection.mutable
 
 import repro.core.{ColumnRef, JoinEdge}
 import repro.data.TableRepo
 
 /** The online discovery index (Appendix A of the paper): the compact result
-  * of the distributed profiling job, serving Aurum's three functions —
-  * SEARCH-KEYWORD, NEIGHBORS and GENERATE-JOIN-GRAPHS — to the rest of Ver.
+  * of the offline [[DiscoveryIndexBuilder]], serving Aurum's three functions
+  * — SEARCH-KEYWORD, NEIGHBORS and GENERATE-JOIN-GRAPHS — to the rest of Ver.
   *
   * @param columnValues distinct values per column
   * @param containment  containment score per canonically-ordered joinable
@@ -116,25 +117,33 @@ final class DiscoveryIndex(
   }
 }
 
-/** Offline builder: runs the distributed [[Profiles]] job and collects the
-  * compact aggregates into a [[DiscoveryIndex]].
+/** Offline builder: collects each table to the driver once and scores every
+  * cross-table column pair by exact containment, counting overlaps through
+  * a value → columns inverted index (the exact approach of JOSIE, Zhu et
+  * al., SIGMOD 2019). The corpora are kilobytes, so a Spark self-join would
+  * only add overhead; MinHash containment sketches (Lazo) become the right
+  * design once the values no longer fit on the driver.
   */
 object DiscoveryIndexBuilder {
+  /** `spark` is unused: each table's DataFrame already carries its session. */
   def build(spark: SparkSession, repo: TableRepo, threshold: Double = 0.8): DiscoveryIndex = {
-    val cv = Profiles.columnValues(spark, repo).cache()
-    try {
-      val colValues: Map[ColumnRef, Set[String]] = cv.collect()
-        .map(r => (ColumnRef(r.getString(0), r.getString(1)), r.getString(2)))
-        .groupBy(_._1)
-        .map { case (c, vs) => c -> vs.map(_._2).toSet }
-      // Columns that exist but produced no values still need an entry.
-      val allCols = repo.columnRefs.map(c => c -> colValues.getOrElse(c, Set.empty[String])).toMap
-      val cont: Map[(ColumnRef, ColumnRef), Double] =
-        Profiles.joinablePairs(cv, threshold).collect().map { r =>
-          (ColumnRef(r.getString(0), r.getString(1)), ColumnRef(r.getString(2), r.getString(3))) ->
-            r.getDouble(5)
-        }.toMap
-      new DiscoveryIndex(allCols, cont, threshold)
-    } finally cv.unpersist()
+    val columnValues: Map[ColumnRef, Set[String]] = repo.tables.toVector.flatMap { case (t, df) =>
+      val rows = df.collect()
+      df.columns.toVector.zipWithIndex.map { case (c, i) =>
+        ColumnRef(t, c) -> rows.iterator.map(_.getString(i)).filter(_ != null).toSet
+      }
+    }.toMap
+    // Case-sensitive, unlike DiscoveryIndex.searchKeyword: "Paris" and
+    // "paris" do not join.
+    val holders = mutable.HashMap.empty[String, List[ColumnRef]]
+    for ((c, vs) <- columnValues; v <- vs) holders(v) = c :: holders.getOrElse(v, Nil)
+    // One entry per unordered pair (canonical order); Ver never self-joins a table.
+    val overlap = mutable.HashMap.empty[(ColumnRef, ColumnRef), Int]
+    for (cs <- holders.valuesIterator; a <- cs; b <- cs if a.table != b.table && a.toString < b.toString)
+      overlap((a, b)) = overlap.getOrElse((a, b), 0) + 1
+    val containment = overlap.iterator.map { case ((a, b), n) =>
+      (a, b) -> math.max(n.toDouble / columnValues(a).size, n.toDouble / columnValues(b).size)
+    }.filter(_._2 >= threshold).toMap
+    new DiscoveryIndex(columnValues, containment, threshold)
   }
 }

@@ -1,11 +1,15 @@
 package repro.discovery
 
+import org.apache.spark.sql.functions.{col, collect_set}
+import org.scalacheck.{Gen, Prop, Test => SCTest}
+
 import repro.SparkSpec
 import repro.core.ColumnRef
-import repro.data.TableRepo
+import repro.data.{ChemblLite, TableRepo, WdcLite}
 
-/** Tests the offline index builder (distributed profiles → online index)
-  * end to end on a small repo.
+/** Tests the offline index builder (one collect per table → inverted-index
+  * containment → online index) end to end on small repos, and its
+  * containment map against a brute-force pairwise-intersection oracle.
   */
 class DiscoveryIndexSpec extends SparkSpec {
 
@@ -20,6 +24,19 @@ class DiscoveryIndexSpec extends SparkSpec {
   ), Vector.empty)
 
   private lazy val index = DiscoveryIndexBuilder.build(spark, repo, threshold = 0.6)
+
+  /** Brute force: every cross-table column pair in canonical order, scored
+    * by intersecting its two value sets directly.
+    */
+  private def oracle(values: Map[ColumnRef, Set[String]], threshold: Double)
+      : Map[(ColumnRef, ColumnRef), Double] = {
+    val cols = values.keys.toVector
+    (for {
+      a <- cols; b <- cols if a.table != b.table && a.toString < b.toString
+      n = (values(a) intersect values(b)).size if n > 0
+      s = math.max(n.toDouble / values(a).size, n.toDouble / values(b).size) if s >= threshold
+    } yield (a, b) -> s).toMap
+  }
 
   test("every column is profiled, including join-free ones") {
     assert(index.columnValues.keySet == repo.columnRefs.toSet)
@@ -64,5 +81,96 @@ class DiscoveryIndexSpec extends SparkSpec {
     val again = DiscoveryIndexBuilder.build(spark, repo, threshold = 0.6)
     assert(again.columnValues == index.columnValues)
     assert(again.containment == index.containment)
+  }
+
+  // ---- containment on a hand-computed repo --------------------------------
+  private lazy val small = TableRepo("prof-test", Map(
+    "t1" -> TableRepo.df(spark, Seq("a", "b"), Seq(
+      Seq("x", "1"), Seq("y", "2"), Seq("x", "3"))),
+    "t2" -> TableRepo.df(spark, Seq("a2", "c"), Seq(
+      Seq("x", "1"), Seq("y", "9"), Seq("z", "9"))),
+    "t3" -> TableRepo.df(spark, Seq("d"), Seq(Seq("q"))),
+  ), Vector.empty)
+  private lazy val smallAll = DiscoveryIndexBuilder.build(spark, small, threshold = 0.0)
+  private val t1a = ColumnRef("t1", "a")
+  private val t1b = ColumnRef("t1", "b")
+  private val t2a2 = ColumnRef("t2", "a2")
+  private val t2c = ColumnRef("t2", "c")
+
+  test("containment is exact max-directional Jaccard containment") {
+    // t1.a {x,y} ⊂ t2.a2 {x,y,z}: max(2/2, 2/3) = 1.0
+    assert(smallAll.containment((t1a, t2a2)) == 1.0)
+    // t1.b {1,2,3} vs t2.c {1,9}: max(1/3, 1/2) = 0.5
+    assert(smallAll.containment((t1b, t2c)) == 0.5)
+  }
+  test("the threshold filters the containment map") {
+    assert(DiscoveryIndexBuilder.build(spark, small, threshold = 0.8).containment.keySet ==
+      Set((t1a, t2a2)))
+  }
+  test("same-table column pairs are excluded") {
+    val same = TableRepo("same", Map(
+      "t" -> TableRepo.df(spark, Seq("p", "q"), Seq(Seq("v", "v")))), Vector.empty)
+    assert(DiscoveryIndexBuilder.build(spark, same, threshold = 0.0).containment.isEmpty)
+  }
+  test("one containment entry per unordered pair, in canonical order") {
+    val keys = smallAll.containment.keys.toVector
+    assert(keys.forall { case (a, b) => a.toString < b.toString })
+    assert(keys.map { case (a, b) => Set(a, b) }.distinct.size == keys.size)
+  }
+  test("containment is case-sensitive while searchKeyword is not") {
+    val cased = TableRepo("case", Map(
+      "a" -> TableRepo.df(spark, Seq("city"), Seq(Seq("Paris"))),
+      "b" -> TableRepo.df(spark, Seq("city"), Seq(Seq("paris")))), Vector.empty)
+    val idx = DiscoveryIndexBuilder.build(spark, cased, threshold = 0.0)
+    assert(idx.containment.isEmpty)
+    assert(idx.searchKeyword("paris").toSet == Set(ColumnRef("a", "city"), ColumnRef("b", "city")))
+  }
+
+  // ---- the real corpora against the brute-force oracle --------------------
+  private lazy val chembl = ChemblLite(spark)
+
+  test("chembl-lite and wdc-lite equal the oracle over the Fig. 8 threshold sweep") {
+    val expectedPairs = Map("chembl-lite" -> Vector(43, 42, 26), "wdc-lite" -> Vector(718, 373, 240))
+    for (corpus <- Vector(chembl, WdcLite(spark))) {
+      val built = Vector(0.5, 0.8, 1.0).map(t => DiscoveryIndexBuilder.build(spark, corpus, t))
+      for (idx <- built)
+        assert(idx.containment == oracle(idx.columnValues, idx.threshold), s"${corpus.name} @ ${idx.threshold}")
+      assert(built.map(_.containment.size) == expectedPairs(corpus.name))
+    }
+  }
+  test("columnValues equal Spark's per-column distinct value sets on chembl-lite") {
+    val values = chembl.tables.toVector.flatMap { case (t, df) =>
+      val sets = df.select(df.columns.toIndexedSeq.map(c => collect_set(col(c))): _*).head()
+      df.columns.toVector.zipWithIndex.map { case (c, i) => ColumnRef(t, c) -> sets.getSeq[String](i).toSet }
+    }.toMap
+    assert(DiscoveryIndexBuilder.build(spark, chembl).columnValues == values)
+  }
+
+  // ---- randomized invariants ----------------------------------------------
+  test("randomized: builder equals the oracle, containmentOf is symmetric, edges shrink with the threshold") {
+    val tableGen = for {
+      nCols <- Gen.choose(1, 3)
+      rows <- Gen.choose(0, 5).flatMap(n =>
+        Gen.listOfN(n, Gen.listOfN(nCols, Gen.oneOf("a", "b", "c", "d", "A"))))
+    } yield (nCols, rows)
+    val repoGen = Gen.choose(1, 4).flatMap(n => Gen.listOfN(n, tableGen))
+    val thresholds = Vector(0.0, 0.25, 0.5, 0.8, 1.0)
+    val prop = Prop.forAll(repoGen) { tables =>
+      val named = tables.zipWithIndex.map { case ((nCols, rows), i) =>
+        (s"t$i", (0 until nCols).map(j => s"c$j"), rows)
+      }
+      val r = TableRepo("rand", named.map { case (t, cs, rows) =>
+        t -> TableRepo.df(spark, cs, rows) }.toMap, Vector.empty)
+      val values = named.flatMap { case (t, cs, rows) =>
+        cs.zipWithIndex.map { case (c, j) => ColumnRef(t, c) -> rows.map(_(j)).toSet }
+      }.toMap
+      val built = thresholds.map(t => DiscoveryIndexBuilder.build(spark, r, t))
+      val cols = r.columnRefs
+      built.forall(i => i.containment == oracle(values, i.threshold)) &&
+        built.forall(i => cols.forall(a => cols.forall(b => i.containmentOf(a, b) == i.containmentOf(b, a)))) &&
+        built.zip(built.tail).forall { case (lo, hi) => hi.containment.keySet.subsetOf(lo.containment.keySet) }
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(40), prop)
+    assert(res.passed, res.status.toString)
   }
 }

@@ -4,8 +4,9 @@ import repro.SparkSpec
 import repro.core.ColumnRef
 import repro.data.TableRepo
 
-/** Tests the distributed profiling job against brute-force driver-side
-  * computation on a tiny hand-built repo.
+/** Tests the per-column profiles the index builder collects (distinct value
+  * sets, their sizes, and the overlapping column pairs at threshold 0)
+  * against counts worked out by hand on a tiny repo.
   */
 class ProfilesSpec extends SparkSpec {
 
@@ -17,55 +18,32 @@ class ProfilesSpec extends SparkSpec {
     "t3" -> TableRepo.df(spark, Seq("d"), Seq(Seq("q"))),
   ), Vector.empty)
 
-  private lazy val cv = Profiles.columnValues(spark, repo).cache()
+  private lazy val index = DiscoveryIndexBuilder.build(spark, repo, threshold = 0.0)
 
-  private def collected: Set[(String, String, String)] =
-    cv.collect().map(r => (r.getString(0), r.getString(1), r.getString(2))).toSet
+  private def triples: Set[(String, String, String)] =
+    index.columnValues.toSet[(ColumnRef, Set[String])].flatMap { case (c, vs) =>
+      vs.map(v => (c.table, c.column, v))
+    }
 
   test("columnValues melts every (table, column, value) triple") {
-    assert(collected.contains(("t1", "a", "x")))
-    assert(collected.contains(("t2", "c", "9")))
-    assert(collected.contains(("t3", "d", "q")))
+    assert(triples.contains(("t1", "a", "x")))
+    assert(triples.contains(("t2", "c", "9")))
+    assert(triples.contains(("t3", "d", "q")))
   }
   test("columnValues is distinct (duplicate cell values collapse)") {
-    assert(collected.count(t => t == (("t1", "a", "x"))) == 1)
-    assert(collected.size == 5 + 5 + 1) // t1: a{x,y}+b{1,2,3}; t2: a2{x,y,z}+c{1,9}; t3: d{q}
+    assert(index.columnValues(ColumnRef("t1", "a")) == Set("x", "y"))
+    assert(triples.size == 5 + 5 + 1) // t1: a{x,y}+b{1,2,3}; t2: a2{x,y,z}+c{1,9}; t3: d{q}
   }
   test("columnStats matches brute-force distinct counts") {
-    val stats = Profiles.columnStats(cv).collect()
-      .map(r => (r.getString(0), r.getString(1)) -> r.getLong(2)).toMap
+    val stats = index.columnValues.map { case (c, vs) => (c.table, c.column) -> vs.size }
     assert(stats(("t1", "a")) == 2 && stats(("t1", "b")) == 3)
     assert(stats(("t2", "a2")) == 3 && stats(("t2", "c")) == 2)
     assert(stats(("t3", "d")) == 1)
   }
-  test("columnPairs computes overlap and max-directional containment") {
-    val pairs = Profiles.columnPairs(cv).collect().map { r =>
-      ((r.getString(0), r.getString(1), r.getString(2), r.getString(3)),
-        (r.getLong(4), r.getDouble(5)))
-    }.toMap
-    // t1.a {x,y} vs t2.a2 {x,y,z}: overlap 2, containment max(2/2, 2/3) = 1.0
-    assert(pairs(("t1", "a", "t2", "a2")) == ((2L, 1.0)))
-    // t1.b {1,2,3} vs t2.c {1,9}: overlap 1, containment max(1/3, 1/2) = 0.5
-    assert(pairs(("t1", "b", "t2", "c")) == ((1L, 0.5)))
-  }
-  test("columnPairs excludes same-table pairs") {
-    // t1.a and t1.b share no values anyway; force a same-table overlap:
-    val r2 = TableRepo("same", Map(
-      "t" -> TableRepo.df(spark, Seq("p", "q"), Seq(Seq("v", "v")))), Vector.empty)
-    val cv2 = Profiles.columnValues(spark, r2)
-    assert(Profiles.columnPairs(cv2).count() == 0)
-  }
-  test("columnPairs emits one row per unordered pair") {
-    val pairs = Profiles.columnPairs(cv).collect()
-      .map(r => Set((r.getString(0), r.getString(1)), (r.getString(2), r.getString(3))))
-    assert(pairs.distinct.size == pairs.size)
-  }
-  test("joinablePairs filters by threshold") {
-    val joinable = Profiles.joinablePairs(cv, 0.8).collect()
-      .map(r => ((r.getString(0), r.getString(1)), (r.getString(2), r.getString(3)))).toSet
-    assert(joinable == Set((("t1", "a"), ("t2", "a2"))))
-  }
   test("joinablePairs at threshold 0 returns every overlapping pair") {
-    assert(Profiles.joinablePairs(cv, 0.0).count() == Profiles.columnPairs(cv).count())
+    // t1.a/t2.a2 share {x,y}, t1.b/t2.c share {1}; every other pair shares nothing
+    assert(index.containment.keySet == Set(
+      (ColumnRef("t1", "a"), ColumnRef("t2", "a2")),
+      (ColumnRef("t1", "b"), ColumnRef("t2", "c"))))
   }
 }
