@@ -18,7 +18,7 @@ final class Ver(val repo: TableRepo, val index: DiscoveryIndex) {
     else JoinGraphSearch.search(cands, index, cfg)
   }
 
-  /** Materialize the ranked specs (top `limit`) through the Spark
+  /** Materialize the ranked specs (top `limit`) through the driver-side
     * MATERIALIZER.
     */
   def materialize(result: SearchResult, limit: Int = Int.MaxValue): Vector[MatView] =

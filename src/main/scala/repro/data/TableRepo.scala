@@ -39,11 +39,12 @@ final case class TableRepo(
 object TableRepo {
   /** Build an all-string DataFrame from driver-side rows. Generators are
     * driver-side (tables are small) so workloads are bit-deterministic in
-    * their seed; the *distributed* work is materialization, not data
-    * generation.
+    * their seed. Cells are non-null, as the schema declares: a `null` cell
+    * is rejected here, the one place tables are built.
     */
   def df(spark: SparkSession, cols: Seq[String], rows: Seq[Seq[String]]): DataFrame = {
     require(rows.forall(_.size == cols.size), s"ragged rows for schema $cols")
+    require(rows.forall(_.forall(_ != null)), s"null cell in a table with schema $cols: cells must be non-null strings")
     val schema = StructType(cols.map(StructField(_, StringType, nullable = false)))
     spark.createDataFrame(rows.map(r => Row.fromSeq(r)).asJava, schema)
   }

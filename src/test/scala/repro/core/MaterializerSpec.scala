@@ -1,10 +1,17 @@
 package repro.core
 
-import repro.{Oracle, SparkSpec}
-import repro.data.TableRepo
+import org.scalacheck.{Gen, Prop, Test => SCTest}
+import org.scalacheck.Prop.propBoolean
+import scala.util.Random
 
-/** Tests the Spark MATERIALIZER against the DuckDB oracle: every join graph
-  * materialization is checked for result-equality with the equivalent SQL.
+import repro.{Oracle, SparkSpec}
+import repro.data.{ChemblLite, QueryGen, TableRepo, WdcLite}
+import repro.discovery.DiscoveryIndexBuilder
+
+/** Tests the driver-side MATERIALIZER against the DuckDB oracle: hand-built
+  * join graphs, every top-100 spec of the Table IV zero-noise workload, and
+  * random specs over random small repos are checked for result-equality with
+  * the equivalent SQL.
   */
 class MaterializerSpec extends SparkSpec {
   private def c(t: String, col: String) = ColumnRef(t, col)
@@ -23,9 +30,14 @@ class MaterializerSpec extends SparkSpec {
     Set(JoinEdge(c("orders", "cid"), c("customers", "cid"))),
     Vector(c("customers", "name"), c("orders", "status")))
 
+  private def materialized(r: TableRepo, spec: ViewSpec) = {
+    val v = Materializer.materialize(r, spec, "v")
+    TableRepo.df(spark, v.schema, v.rows)
+  }
+
   test("two-table join matches DuckDB") {
     Oracle.assertEquivalent(
-      Materializer.frame(repo, join1),
+      materialized(repo, join1),
       "SELECT DISTINCT customers.name AS name, orders.status AS status " +
         "FROM orders JOIN customers ON orders.cid = customers.cid",
       "orders" -> repo("orders"), "customers" -> repo("customers"))
@@ -37,7 +49,7 @@ class MaterializerSpec extends SparkSpec {
           JoinEdge(c("customers", "name"), c("cities", "name"))),
       Vector(c("cities", "city"), c("orders", "status")))
     Oracle.assertEquivalent(
-      Materializer.frame(repo, spec),
+      materialized(repo, spec),
       "SELECT DISTINCT cities.city AS city, orders.status AS status " +
         "FROM orders JOIN customers ON orders.cid = customers.cid " +
         "JOIN cities ON customers.name = cities.name",
@@ -47,14 +59,14 @@ class MaterializerSpec extends SparkSpec {
   test("single-table projection matches DuckDB") {
     val spec = ViewSpec.singleTable(Vector(c("orders", "cid"), c("orders", "status")))
     Oracle.assertEquivalent(
-      Materializer.frame(repo, spec),
+      materialized(repo, spec),
       "SELECT DISTINCT cid, status FROM orders",
       "orders" -> repo("orders"))
   }
 
   test("projection is distinct (set semantics)") {
     val spec = ViewSpec.singleTable(Vector(c("orders", "status")))
-    assert(Materializer.frame(repo, spec).count() == 2)
+    assert(Materializer.materialize(repo, spec, "v").rows == Vector(Vector("closed"), Vector("open")))
   }
 
   test("unmatched join keys are dropped (inner join semantics)") {
@@ -75,14 +87,15 @@ class MaterializerSpec extends SparkSpec {
     val spec = ViewSpec(Set("orders", "customers"),
       Set(JoinEdge(c("orders", "cid"), c("customers", "cid"))),
       Vector(c("orders", "cid"), c("customers", "cid")))
-    val df = Materializer.frame(repo, spec)
-    assert(df.columns.toVector == Vector("cid", "cid_2"))
+    val v = Materializer.materialize(repo, spec, "v")
+    assert(v.schema == Vector("cid", "cid_2"))
+    assert(v.rows == Vector(Vector("c1", "c1"), Vector("c2", "c2")))
   }
 
   test("disconnected specs are rejected") {
     val spec = ViewSpec(Set("orders", "cities"), Set.empty,
       Vector(c("orders", "oid"), c("cities", "city")))
-    intercept[RuntimeException](Materializer.frame(repo, spec))
+    intercept[RuntimeException](Materializer.materialize(repo, spec, "v"))
   }
 
   test("materializeAll preserves ranked order and limit") {
@@ -103,8 +116,77 @@ class MaterializerSpec extends SparkSpec {
       Set(JoinEdge(c("a", "k1"), c("b", "k1")), JoinEdge(c("a", "k2"), c("b", "k2"))),
       Vector(c("a", "pa"), c("b", "pb")))
     Oracle.assertEquivalent(
-      Materializer.frame(r2, spec),
+      materialized(r2, spec),
       "SELECT DISTINCT a.pa AS pa, b.pb AS pb FROM a JOIN b ON a.k1 = b.k1 AND a.k2 = b.k2",
       "a" -> r2("a"), "b" -> r2("b"))
+  }
+
+  test("TableRepo.df rejects a null cell") {
+    val e = intercept[IllegalArgumentException](TableRepo.df(spark, Seq("a", "b"), Seq(Seq("x", null))))
+    assert(e.getMessage.contains("null cell"))
+  }
+
+  // ---- the Table IV workload ----------------------------------------------
+  test("every top-100 spec of each zero-noise Table IV query matches DuckDB") {
+    val workload = Seq(
+      ChemblLite(spark) -> Seq("chembl-Q1", "chembl-Q2", "chembl-Q3", "chembl-Q4", "chembl-Q5"),
+      WdcLite(spark) -> Seq("wdc-Q2", "wdc-Q3"))
+    val checked = workload.map { case (r, gtNames) =>
+      val index = DiscoveryIndexBuilder.build(spark, r)
+      val ver = new Ver(r, index)
+      val db = Oracle.load(r)
+      try r.groundTruths.filter(gt => gtNames.contains(gt.name)).map { gt =>
+        val nq = QueryGen.generate(gt, NoiseLevel.Zero, 0, index.values)
+        val views = ver.materialize(ver.searchSpecs(nq.query), limit = 100)
+        val wrong = views.filter(v => db.view(v.spec, v.id) != v)
+        assert(wrong.isEmpty, s"${gt.name}: ${wrong.size} views differ, first ${wrong.take(3).map(_.spec)}")
+        views.size
+      }.sum
+      finally db.close()
+    }
+    // Table IV's Original counts at zero noise: 24+23+80+100+20 and 100+66.
+    assert(checked == Seq(247, 166))
+  }
+
+  // ---- randomized invariants ----------------------------------------------
+  test("randomized: random connected specs over small repos equal DuckDB and ignore row order") {
+    val tableGen = for {
+      nCols <- Gen.choose(1, 3)
+      cols <- Gen.pick(nCols, Seq("k", "a", "b"))
+      rows <- Gen.choose(0, 6).flatMap(n => Gen.listOfN(n, Gen.listOfN(nCols, Gen.oneOf("0", "1", "2"))))
+    } yield (cols.toVector, rows)
+    def specGen(cols: Map[String, Vector[String]]): Gen[ViewSpec] = {
+      def col(t: String) = Gen.oneOf(cols(t)).map(ColumnRef(t, _))
+      def edge(a: String, b: String) = for (x <- col(a); y <- col(b)) yield JoinEdge(x, y)
+      for {
+        n <- Gen.choose(1, cols.size)
+        ts <- Gen.pick(n, cols.keys.toSeq.sorted).map(_.toVector)
+        tree <- Gen.sequence[Vector[JoinEdge], JoinEdge]((1 until n).map(i =>
+          Gen.choose(0, i - 1).flatMap(p => edge(ts(p), ts(i)))))
+        extra <- if (n < 2) Gen.const(Nil) else Gen.choose(0, 2).flatMap(k =>
+          Gen.listOfN(k, Gen.pick(2, ts).flatMap(p => edge(p(0), p(1)))))
+        projection <- Gen.choose(1, 3).flatMap(k => Gen.listOfN(k, Gen.oneOf(ts).flatMap(col)))
+      } yield ViewSpec(ts.toSet, (tree ++ extra).toSet, projection.toVector)
+    }
+    val caseGen = for {
+      n <- Gen.choose(2, 4)
+      tables <- Gen.listOfN(n, tableGen).map(_.zipWithIndex.map { case (t, i) => s"t$i" -> t }.toMap)
+      spec <- specGen(tables.map { case (t, (cols, _)) => t -> cols })
+      seed <- Gen.long
+    } yield (tables, spec, seed)
+    val prop = Prop.forAllNoShrink(caseGen) { case (tables, spec, seed) =>
+      val rnd = new Random(seed)
+      def repoOf(order: List[List[String]] => List[List[String]]) = TableRepo("rand",
+        tables.map { case (t, (cols, rows)) => t -> TableRepo.df(spark, cols, order(rows)) }, Vector.empty)
+      val v = Materializer.materialize(repoOf(identity), spec, "v")
+      val expected = {
+        val db = Oracle.load(repoOf(identity))
+        try db.view(spec, "v") finally db.close()
+      }
+      (v == expected) :| s"DuckDB ${expected.rows} vs ${v.rows} for $spec" &&
+        (Materializer.materialize(repoOf(rnd.shuffle(_)), spec, "v") == v) :| s"row order changed $spec"
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(100), prop)
+    assert(res.passed, res.status.toString)
   }
 }
