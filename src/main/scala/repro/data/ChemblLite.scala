@@ -31,6 +31,7 @@ object ChemblLite {
   /** Shared-universe fraction of a noise column (the rest are noise-only). */
   val NoiseShare = 0.85
 
+  /** `spark` is unused: tables are built as driver-side rows. */
   def apply(spark: SparkSession, scale: Double = 1.0, seed: Long = 11): TableRepo = {
     require(scale > 0, "scale must be positive")
     val rng = new Random(seed)
@@ -151,29 +152,23 @@ object ChemblLite {
       }
     }
 
-    val tables: Map[String, org.apache.spark.sql.DataFrame] = (Map(
-      "cell_dictionary" -> TableRepo.df(spark,
-        Seq("cell_id", "cell_name", "cell_description"), cellDictionary),
-      "assays" -> TableRepo.df(spark,
+    val tables: Map[String, Table] = (Map(
+      "cell_dictionary" -> Table(Seq("cell_id", "cell_name", "cell_description"), cellDictionary),
+      "assays" -> Table(
         Seq("assay_id", "cell_id", "cell_name", "cell_description", "assay_type", "assay_organism"), assays),
-      "assay_archive" -> TableRepo.df(spark,
-        Seq("archive_id", "cell_name_old", "assay_type_old"), assayArchive),
-      "bioassay_ontology" -> TableRepo.df(spark, Seq("onto_id", "organism_alt"), bioassayOntology),
-      "target_dictionary" -> TableRepo.df(spark, Seq("tid", "pref_name", "organism"), targetDictionary),
-      "component_sequences" -> TableRepo.df(spark,
-        Seq("component_id", "description", "organism"), componentSequences),
-      "component_class" -> TableRepo.df(spark,
-        Seq("component_id", "pref_name", "protein_class"), componentClass),
-      "target_synonyms" -> TableRepo.df(spark, Seq("syn_id", "synonym"), targetSynonyms),
-      "activities" -> TableRepo.df(spark,
+      "assay_archive" -> Table(Seq("archive_id", "cell_name_old", "assay_type_old"), assayArchive),
+      "bioassay_ontology" -> Table(Seq("onto_id", "organism_alt"), bioassayOntology),
+      "target_dictionary" -> Table(Seq("tid", "pref_name", "organism"), targetDictionary),
+      "component_sequences" -> Table(Seq("component_id", "description", "organism"), componentSequences),
+      "component_class" -> Table(Seq("component_id", "pref_name", "protein_class"), componentClass),
+      "target_synonyms" -> Table(Seq("syn_id", "synonym"), targetSynonyms),
+      "activities" -> Table(
         Seq("activity_id", "assay_id", "tid", "molregno", "standard_type", "standard_value"), activities),
-      "molecule_dictionary" -> TableRepo.df(spark, Seq("molregno", "molecule_name"), moleculeDictionary),
-      "compound_records" -> TableRepo.df(spark,
-        Seq("record_id", "molregno", "compound_name"), compoundRecords),
-      "old_compounds" -> TableRepo.df(spark,
-        Seq("oldc_id", "compound_old", "standard_type_old"), oldCompounds),
+      "molecule_dictionary" -> Table(Seq("molregno", "molecule_name"), moleculeDictionary),
+      "compound_records" -> Table(Seq("record_id", "molregno", "compound_name"), compoundRecords),
+      "old_compounds" -> Table(Seq("oldc_id", "compound_old", "standard_type_old"), oldCompounds),
     ) ++ labNotes.map { case (name, rows) =>
-      name -> TableRepo.df(spark, Seq("note_id", "note_tag", "note_organism"), rows)
+      name -> Table(Seq("note_id", "note_tag", "note_organism"), rows)
     }).toMap
 
     def c(t: String, col: String) = ColumnRef(t, col)

@@ -1,9 +1,5 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types.{StringType, StructField, StructType}
-import scala.jdk.CollectionConverters._
-
 import repro.core.{ColumnRef, ViewSpec}
 
 /** Ground-truth query over a repo: the PJ-view spec the noisy QBE queries
@@ -20,6 +16,22 @@ final case class GroundTruth(
     s"$name: every ground-truth column needs a noise column")
 }
 
+/** One table of a repo, held on the driver: its column names and its
+  * all-string rows. Generators are driver-side (tables are small) so
+  * workloads are bit-deterministic in their seed. Cells are non-null, as in
+  * a CSV file: a ragged row or a `null` cell is rejected here, the one place
+  * tables are built.
+  */
+final case class Table(columns: Vector[String], rows: Vector[Vector[String]]) {
+  require(rows.forall(_.size == columns.size), s"ragged rows for schema $columns")
+  require(rows.forall(_.forall(_ != null)), s"null cell in a table with schema $columns: cells must be non-null strings")
+}
+
+object Table {
+  def apply(columns: Seq[String], rows: Seq[Seq[String]]): Table =
+    new Table(columns.toVector, rows.iterator.map(_.toVector).toVector)
+}
+
 /** A named pathless table collection: tables have all-string schemas (as in
   * a real CSV lake — types, keys and FKs are absent by construction) and no
   * join-path metadata. Ground truths are carried for workload generation and
@@ -27,25 +39,11 @@ final case class GroundTruth(
   */
 final case class TableRepo(
     name: String,
-    tables: Map[String, DataFrame],
+    tables: Map[String, Table],
     groundTruths: Vector[GroundTruth],
 ) {
-  def apply(table: String): DataFrame =
+  def apply(table: String): Table =
     tables.getOrElse(table, sys.error(s"unknown table $table in repo $name"))
   def columnRefs: Vector[ColumnRef] =
-    tables.toVector.sortBy(_._1).flatMap { case (t, df) => df.columns.toVector.map(ColumnRef(t, _)) }
-}
-
-object TableRepo {
-  /** Build an all-string DataFrame from driver-side rows. Generators are
-    * driver-side (tables are small) so workloads are bit-deterministic in
-    * their seed. Cells are non-null, as the schema declares: a `null` cell
-    * is rejected here, the one place tables are built.
-    */
-  def df(spark: SparkSession, cols: Seq[String], rows: Seq[Seq[String]]): DataFrame = {
-    require(rows.forall(_.size == cols.size), s"ragged rows for schema $cols")
-    require(rows.forall(_.forall(_ != null)), s"null cell in a table with schema $cols: cells must be non-null strings")
-    val schema = StructType(cols.map(StructField(_, StringType, nullable = false)))
-    spark.createDataFrame(rows.map(r => Row.fromSeq(r)).asJava, schema)
-  }
+    tables.toVector.sortBy(_._1).flatMap { case (t, table) => table.columns.map(ColumnRef(t, _)) }
 }

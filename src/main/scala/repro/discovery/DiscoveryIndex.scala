@@ -117,21 +117,18 @@ final class DiscoveryIndex(
   }
 }
 
-/** Offline builder: collects each table to the driver once and scores every
-  * cross-table column pair by exact containment, counting overlaps through
-  * a value → columns inverted index (the exact approach of JOSIE, Zhu et
-  * al., SIGMOD 2019). The corpora are kilobytes, so a Spark self-join would
-  * only add overhead; MinHash containment sketches (Lazo) become the right
-  * design once the values no longer fit on the driver.
+/** Offline builder: reads each table's driver-side rows once and scores
+  * every cross-table column pair by exact containment, counting overlaps
+  * through a value → columns inverted index (the exact approach of JOSIE,
+  * Zhu et al., SIGMOD 2019). The corpora are kilobytes, so a Spark self-join
+  * would only add overhead; MinHash containment sketches (Lazo) become the
+  * right design once the values no longer fit on the driver.
   */
 object DiscoveryIndexBuilder {
-  /** `spark` is unused: each table's DataFrame already carries its session. */
+  /** `spark` is unused: the repo's tables are driver-side rows. */
   def build(spark: SparkSession, repo: TableRepo, threshold: Double = 0.8): DiscoveryIndex = {
-    val columnValues: Map[ColumnRef, Set[String]] = repo.tables.toVector.flatMap { case (t, df) =>
-      val rows = df.collect()
-      df.columns.toVector.zipWithIndex.map { case (c, i) =>
-        ColumnRef(t, c) -> rows.iterator.map(_.getString(i)).filter(_ != null).toSet
-      }
+    val columnValues: Map[ColumnRef, Set[String]] = repo.tables.toVector.flatMap { case (t, table) =>
+      table.columns.zipWithIndex.map { case (c, i) => ColumnRef(t, c) -> table.rows.iterator.map(_(i)).toSet }
     }.toMap
     // Case-sensitive, unlike DiscoveryIndex.searchKeyword: "Paris" and
     // "paris" do not join.

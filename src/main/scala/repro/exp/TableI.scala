@@ -1,7 +1,6 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 
 import repro.data.{ChemblLite, OpenDataLite, TableRepo, WdcLite}
 import repro.discovery.DiscoveryIndexBuilder
@@ -10,7 +9,8 @@ import repro.discovery.DiscoveryIndexBuilder
   * #tables, #columns, #joinable column pairs at containment ≥ 0.8, total
   * #rows, and size in bytes of the cell data. Joinable pairs are those of
   * the built [[repro.discovery.DiscoveryIndex]], so the term has one
-  * definition; rows and bytes are DataFrame aggregates.
+  * definition; rows and size are counted over the driver-side rows, size in
+  * Unicode code points per cell (what Spark's `length` counts).
   */
 object TableI {
 
@@ -23,15 +23,10 @@ object TableI {
 
   def stats(spark: SparkSession, repo: TableRepo, threshold: Double = 0.8): DatasetStats = {
     val joinable = DiscoveryIndexBuilder.build(spark, repo, threshold).containment.size
-    val (rows, bytes) = repo.tables.values.map { df =>
-      val agg = df.select(
-        count(lit(1)).as("n"),
-        coalesce(sum(df.columns.map(c => length(col(c).cast("string"))).reduce(_ + _)), lit(0L)).as("b"),
-      ).collect()(0)
-      (agg.getLong(0), agg.getLong(1))
-    }.foldLeft((0L, 0L)) { case ((r1, b1), (r2, b2)) => (r1 + r2, b1 + b2) }
-    DatasetStats(repo.name, repo.tables.size,
-      repo.tables.values.map(_.columns.length).sum, joinable, rows, bytes)
+    val tables = repo.tables.values
+    val rows = tables.map(_.rows.size.toLong).sum
+    val size = tables.iterator.flatMap(_.rows).flatten.map(s => s.codePointCount(0, s.length).toLong).sum
+    DatasetStats(repo.name, tables.size, tables.map(_.columns.size).sum, joinable, rows, size)
   }
 
   def run(spark: SparkSession): Vector[DatasetStats] = Vector(

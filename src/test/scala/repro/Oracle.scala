@@ -1,21 +1,19 @@
 package repro
 
 import java.sql.{Connection, DriverManager}
-import org.apache.spark.sql.{DataFrame, Row}
 
 import repro.core.{ColumnRef, MatView, Materializer, ViewSpec}
-import repro.data.TableRepo
+import repro.data.{Table, TableRepo}
 
 /** DuckDB correctness oracle.
   *
-  * ``assertEquivalent(sparkDf, sql, tables)`` runs ``sql`` on DuckDB
-  * (via JDBC, in-process) over ``tables`` and asserts the sorted rows
-  * match ``sparkDf``. This catches wrong results from a rewritten plan
-  * or a custom operator — "it ran" is not "it is correct".
+  * ``assertEquivalent(view, sql, tables)`` runs ``sql`` on DuckDB (via
+  * JDBC, in-process) over ``tables`` and asserts its rows match the view's
+  * as a multiset. This catches wrong results from a rewritten join or a
+  * custom operator — "it ran" is not "it is correct".
   *
-  * Alias every output column identically on both sides (Spark names
-  * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
-  * to scalar columns — array/map/struct are not comparable here.
+  * Alias every output column as the view names it. SQL NULL stays distinct
+  * from every string, so a NULL never equals a ``"∅"`` cell.
   *
   * ``load(repo)`` loads a repo's tables into one DuckDB database once, for
   * many queries (``query``, ``view``); close it when done.
@@ -48,21 +46,21 @@ object Oracle {
   private def quote(identifier: String): String = "\"" + identifier.replace("\"", "\"\"") + "\""
 
   /** Load `tables` into a fresh in-memory DuckDB database. */
-  def load(tables: (String, DataFrame)*): Db = {
+  def load(tables: (String, Table)*): Db = {
     Class.forName("org.duckdb.DuckDBDriver")
     val conn = DriverManager.getConnection("jdbc:duckdb:")
     try {
-      for ((name, df) <- tables) {
-        val cols = df.columns
+      for ((name, table) <- tables) {
+        val cols = table.columns
         conn.createStatement.execute(
           s"CREATE TABLE ${quote(name)} (${cols.map(c => s"${quote(c)} VARCHAR").mkString(", ")})"
         )
-        // Collect once; this is an oracle, not a bench — keep tables small.
+        // This is an oracle, not a bench — keep tables small.
         val ps = conn.prepareStatement(
           s"INSERT INTO ${quote(name)} VALUES (${cols.map(_ => "?").mkString(",")})"
         )
-        df.collect().foreach { r =>
-          cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
+        table.rows.foreach { r =>
+          cols.indices.foreach(i => ps.setString(i + 1, r(i)))
           ps.addBatch()
         }
         ps.executeBatch(); ps.close()
@@ -95,37 +93,27 @@ object Oracle {
     s"SELECT DISTINCT ${select.mkString(", ")} FROM ${quote(order.head)}${joins.mkString}"
   }
 
-  private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
-    val order = cols.sorted
-    val idx   = order.map(cols.indexOf)
-    rows
-      .map(r => idx.map { i =>
-        r.get(i) match {
-          case null                 => "∅"
-          case d: Double            => f"$d%.6f"
-          case f: Float             => f"${f.toDouble}%.6f"
-          case bd: java.math.BigDecimal => f"${bd.doubleValue}%.6f"
-          case x                    => x.toString
-        }
-      })
-      .sortBy(_.mkString(""))
+  /** Rows with columns in sorted-name order, NULL as `None`, sorted. */
+  private def canon(rows: Seq[Seq[AnyRef]], cols: Seq[String]): Seq[Seq[Option[String]]] = {
+    val idx = cols.sorted.map(cols.indexOf)
+    rows.map(r => idx.map(i => Option(r(i)).map(_.toString)))
+      .sorted(Ordering.Implicits.seqOrdering[Seq, Option[String]])
   }
 
-  def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
+  def assertEquivalent(view: MatView, sql: String, tables: (String, Table)*): Unit = {
     val db = load(tables: _*)
     try {
       val (dCols, dRows) = db.query(sql)
-      val sCols = sparkDf.columns.toSeq
       require(
-        dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
-        s"column mismatch: spark=${sCols.sorted} duckdb=${dCols.sorted} — alias every output column"
+        dCols.map(_.toLowerCase).toSet == view.schema.map(_.toLowerCase).toSet,
+        s"column mismatch: view=${view.schema.sorted} duckdb=${dCols.sorted} — alias every output column"
       )
-      val got = canon(sparkDf.collect().toSeq, sCols)
-      val exp = canon(dRows.map(Row.fromSeq), dCols)
+      val got = canon(view.rows, view.schema)
+      val exp = canon(dRows, dCols)
       require(got == exp,
         s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
-        s"  first spark-only: ${got.diff(exp).take(3)}\n" +
-        s"  first duck-only:  ${exp.diff(got).take(3)}"
+        s"  first view-only: ${got.diff(exp).take(3)}\n" +
+        s"  first duck-only: ${exp.diff(got).take(3)}"
       )
     } finally db.close()
   }

@@ -1,8 +1,12 @@
 package repro
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types.{StringType, StructField, StructType}
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import scala.jdk.CollectionConverters._
+
+import repro.data.Table
 
 /** Base for every test: one local-mode SparkSession for the whole run, the
   * same [[SparkEnv.session]] the jobs use.
@@ -13,6 +17,13 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
+
+  /** A table as an all-string DataFrame, for tests that check the driver-side
+    * code against a Spark computation.
+    */
+  def dataFrame(table: Table): DataFrame =
+    spark.createDataFrame(table.rows.map(Row.fromSeq).asJava,
+      StructType(table.columns.map(StructField(_, StringType, nullable = false))))
 
   override def afterAll(): Unit = { super.afterAll() }
 }

@@ -2,6 +2,8 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.{Gen, Prop, Test => SCTest}
+import org.scalacheck.Prop.propBoolean
+import scala.util.Random
 
 /** Unit tests for VIEW-DISTILLATION (Algorithm 3) on handcrafted views
   * covering each 4C definition, plus randomized invariants.
@@ -222,6 +224,28 @@ class FourCSpec extends AnyFunSuite {
         r.edges.forall(e => e.a != e.b)
     }
     val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(60), prop)
+    assert(res.passed, res.status.toString)
+  }
+  test("randomized: 4C counts are monotone, the report ignores view order, counts ignore id renaming") {
+    // Two schema blocks over a small value domain, so compatible, contained,
+    // complementary and contradictory pairs all occur.
+    val viewGen = for {
+      cols <- Gen.oneOf(kv, ("k", "w"))
+      rows <- Gen.choose(1, 4).flatMap(n => Gen.listOfN(n, Gen.zip(Gen.oneOf("1", "2", "3"), Gen.oneOf("x", "y", "z"))))
+    } yield (cols, rows)
+    val caseGen = Gen.zip(Gen.choose(0, 8).flatMap(n => Gen.listOfN(n, viewGen)), Gen.long)
+    def counts(r: DistillReport) = Vector(r.original, r.afterCompatible, r.afterContained, r.c3Worst, r.c3Best)
+    val prop = Prop.forAllNoShrink(caseGen) { case (gen, seed) =>
+      val rnd = new Random(seed)
+      val views = gen.zipWithIndex.map { case ((cols, rows), i) => mv(s"g$i", cols, rows: _*) }.toVector
+      val report = ViewDistillation.distill(views)
+      val expected = counts(report)
+      val renamed = views.zip(rnd.shuffle(views.indices.toVector)).map { case (v, j) => v.copy(id = s"r$j") }
+      expected.zip(expected.tail).forall { case (a, b) => a >= b } :| s"not monotone: $expected" &&
+        (ViewDistillation.distill(rnd.shuffle(views)) == report) :| "view order changed the report" &&
+        (counts(ViewDistillation.distill(rnd.shuffle(renamed))) == expected) :| "renaming ids changed the counts"
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(200), prop)
     assert(res.passed, res.status.toString)
   }
 }

@@ -5,7 +5,7 @@ import org.scalacheck.Prop.propBoolean
 import scala.util.Random
 
 import repro.{Oracle, SparkSpec}
-import repro.data.{ChemblLite, QueryGen, TableRepo, WdcLite}
+import repro.data.{ChemblLite, QueryGen, Table, TableRepo, WdcLite}
 import repro.discovery.DiscoveryIndexBuilder
 
 /** Tests the driver-side MATERIALIZER against the DuckDB oracle: hand-built
@@ -17,12 +17,12 @@ class MaterializerSpec extends SparkSpec {
   private def c(t: String, col: String) = ColumnRef(t, col)
 
   private lazy val repo = TableRepo("mat-test", Map(
-    "orders" -> TableRepo.df(spark, Seq("oid", "cid", "status"), Seq(
+    "orders" -> Table(Seq("oid", "cid", "status"), Seq(
       Seq("o1", "c1", "open"), Seq("o2", "c1", "closed"), Seq("o3", "c2", "open"),
       Seq("o4", "c9", "open"))),
-    "customers" -> TableRepo.df(spark, Seq("cid", "name"), Seq(
+    "customers" -> Table(Seq("cid", "name"), Seq(
       Seq("c1", "alice"), Seq("c2", "bob"), Seq("c3", "carol"))),
-    "cities" -> TableRepo.df(spark, Seq("name", "city"), Seq(
+    "cities" -> Table(Seq("name", "city"), Seq(
       Seq("alice", "paris"), Seq("bob", "tokyo"))),
   ), Vector.empty)
 
@@ -30,14 +30,9 @@ class MaterializerSpec extends SparkSpec {
     Set(JoinEdge(c("orders", "cid"), c("customers", "cid"))),
     Vector(c("customers", "name"), c("orders", "status")))
 
-  private def materialized(r: TableRepo, spec: ViewSpec) = {
-    val v = Materializer.materialize(r, spec, "v")
-    TableRepo.df(spark, v.schema, v.rows)
-  }
-
   test("two-table join matches DuckDB") {
     Oracle.assertEquivalent(
-      materialized(repo, join1),
+      Materializer.materialize(repo, join1, "v"),
       "SELECT DISTINCT customers.name AS name, orders.status AS status " +
         "FROM orders JOIN customers ON orders.cid = customers.cid",
       "orders" -> repo("orders"), "customers" -> repo("customers"))
@@ -49,7 +44,7 @@ class MaterializerSpec extends SparkSpec {
           JoinEdge(c("customers", "name"), c("cities", "name"))),
       Vector(c("cities", "city"), c("orders", "status")))
     Oracle.assertEquivalent(
-      materialized(repo, spec),
+      Materializer.materialize(repo, spec, "v"),
       "SELECT DISTINCT cities.city AS city, orders.status AS status " +
         "FROM orders JOIN customers ON orders.cid = customers.cid " +
         "JOIN cities ON customers.name = cities.name",
@@ -59,7 +54,7 @@ class MaterializerSpec extends SparkSpec {
   test("single-table projection matches DuckDB") {
     val spec = ViewSpec.singleTable(Vector(c("orders", "cid"), c("orders", "status")))
     Oracle.assertEquivalent(
-      materialized(repo, spec),
+      Materializer.materialize(repo, spec, "v"),
       "SELECT DISTINCT cid, status FROM orders",
       "orders" -> repo("orders"))
   }
@@ -107,23 +102,33 @@ class MaterializerSpec extends SparkSpec {
   test("multi-edge connection between two tables joins on all edges") {
     // Both cid and name would have to match; build a repo where they do.
     val r2 = TableRepo("m2", Map(
-      "a" -> TableRepo.df(spark, Seq("k1", "k2", "pa"), Seq(
+      "a" -> Table(Seq("k1", "k2", "pa"), Seq(
         Seq("x", "1", "p1"), Seq("y", "2", "p2"))),
-      "b" -> TableRepo.df(spark, Seq("k1", "k2", "pb"), Seq(
+      "b" -> Table(Seq("k1", "k2", "pb"), Seq(
         Seq("x", "1", "q1"), Seq("y", "9", "q2"))),
     ), Vector.empty)
     val spec = ViewSpec(Set("a", "b"),
       Set(JoinEdge(c("a", "k1"), c("b", "k1")), JoinEdge(c("a", "k2"), c("b", "k2"))),
       Vector(c("a", "pa"), c("b", "pb")))
     Oracle.assertEquivalent(
-      materialized(r2, spec),
+      Materializer.materialize(r2, spec, "v"),
       "SELECT DISTINCT a.pa AS pa, b.pb AS pb FROM a JOIN b ON a.k1 = b.k1 AND a.k2 = b.k2",
       "a" -> r2("a"), "b" -> r2("b"))
   }
 
+  // The checks `TableRepo.df` made now live in `Table`'s constructor.
   test("TableRepo.df rejects a null cell") {
-    val e = intercept[IllegalArgumentException](TableRepo.df(spark, Seq("a", "b"), Seq(Seq("x", null))))
+    val e = intercept[IllegalArgumentException](Table(Seq("a", "b"), Seq(Seq("x", null))))
     assert(e.getMessage.contains("null cell"))
+  }
+  test("Table rejects a ragged row") {
+    val e = intercept[IllegalArgumentException](Table(Seq("a", "b"), Seq(Seq("x", "y"), Seq("z"))))
+    assert(e.getMessage.contains("ragged"))
+  }
+  test("the oracle keeps SQL NULL distinct from a \"∅\" cell") {
+    val view = MatView.fromRows("v", ViewSpec.singleTable(Vector(c("t", "a"))), Vector("a"), Seq(Seq("∅")))
+    Oracle.assertEquivalent(view, "SELECT '∅' AS a")
+    intercept[IllegalArgumentException](Oracle.assertEquivalent(view, "SELECT CAST(NULL AS VARCHAR) AS a"))
   }
 
   // ---- the Table IV workload ----------------------------------------------
@@ -177,7 +182,7 @@ class MaterializerSpec extends SparkSpec {
     val prop = Prop.forAllNoShrink(caseGen) { case (tables, spec, seed) =>
       val rnd = new Random(seed)
       def repoOf(order: List[List[String]] => List[List[String]]) = TableRepo("rand",
-        tables.map { case (t, (cols, rows)) => t -> TableRepo.df(spark, cols, order(rows)) }, Vector.empty)
+        tables.map { case (t, (cols, rows)) => t -> Table(cols, order(rows)) }, Vector.empty)
       val v = Materializer.materialize(repoOf(identity), spec, "v")
       val expected = {
         val db = Oracle.load(repoOf(identity))

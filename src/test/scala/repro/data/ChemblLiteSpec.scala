@@ -6,8 +6,10 @@ import repro.core.ColumnRef
 class ChemblLiteSpec extends SparkSpec {
   private lazy val repo = ChemblLite(spark)
 
-  private def values(c: ColumnRef): Set[String] =
-    repo(c.table).select(c.column).distinct().collect().map(_.getString(0)).toSet
+  private def values(c: ColumnRef): Set[String] = {
+    val t = repo(c.table); val i = t.columns.indexOf(c.column)
+    t.rows.map(_(i)).toSet
+  }
 
   test("all expected tables exist") {
     val expected = Set("cell_dictionary", "assays", "assay_archive", "bioassay_ontology",
@@ -17,32 +19,30 @@ class ChemblLiteSpec extends SparkSpec {
     assert(repo.tables.keySet == expected)
   }
   test("schemas are all-string and as declared") {
-    assert(repo("assays").columns.toSeq ==
-      Seq("assay_id", "cell_id", "cell_name", "cell_description", "assay_type", "assay_organism"))
-    assert(repo.tables.values.forall(_.schema.fields.forall(_.dataType.typeName == "string")))
+    assert(repo("assays").columns ==
+      Vector("assay_id", "cell_id", "cell_name", "cell_description", "assay_type", "assay_organism"))
+    for ((name, t) <- repo.tables; r <- t.rows)
+      assert(r.size == t.columns.size && r.forall(_ != null), name)
   }
   test("generation is deterministic in the seed") {
     val again = ChemblLite(spark)
     for (t <- Seq("assays", "component_class", "activities")) {
-      assert(repo(t).collect().toSeq == again(t).collect().toSeq, t)
+      assert(repo(t) == again(t), t)
     }
   }
   test("different seeds change the data") {
     val other = ChemblLite(spark, seed = 99)
-    assert(repo("assays").collect().toSeq != other("assays").collect().toSeq)
+    assert(repo("assays").rows != other("assays").rows)
   }
 
   test("cell_dictionary aligns cell_id, cell_name, cell_description one-to-one") {
-    val rows = repo("cell_dictionary").collect()
-    assert(rows.map(_.getString(0)).distinct.length == rows.length)
-    assert(rows.map(_.getString(1)).distinct.length == rows.length)
-    assert(rows.map(_.getString(2)).distinct.length == rows.length)
+    val rows = repo("cell_dictionary").rows
+    for (i <- 0 to 2) assert(rows.map(_(i)).distinct.size == rows.size)
   }
   test("assays carry the cell triple consistently with cell_dictionary") {
-    val dict = repo("cell_dictionary").collect()
-      .map(r => r.getString(0) -> (r.getString(1), r.getString(2))).toMap
-    repo("assays").collect().foreach { r =>
-      assert(dict(r.getString(1)) == ((r.getString(2), r.getString(3))),
+    val dict = repo("cell_dictionary").rows.map(r => r(0) -> (r(1), r(2))).toMap
+    repo("assays").rows.foreach { r =>
+      assert(dict(r(1)) == ((r(2), r(3))),
         "the three aligned join keys must produce identical views (C1 design)")
     }
   }
@@ -63,8 +63,8 @@ class ChemblLiteSpec extends SparkSpec {
     assert(c >= 0.8 && c < 1.0, s"containment=$c")
   }
   test("component_class.pref_name is a permutation of the protein universe") {
-    val cc = repo("component_class").collect().map(_.getString(1))
-    assert(cc.distinct.length == cc.length, "unique per row → candidate key in Q4 views")
+    val cc = repo("component_class").rows.map(_(1))
+    assert(cc.distinct.size == cc.size, "unique per row → candidate key in Q4 views")
     assert(values(ColumnRef("component_class", "pref_name"))
       .subsetOf(values(ColumnRef("target_dictionary", "pref_name"))))
   }
@@ -102,6 +102,6 @@ class ChemblLiteSpec extends SparkSpec {
   }
   test("scale shrinks the tables") {
     val small = ChemblLite(spark, scale = 0.5)
-    assert(small("assays").count() < repo("assays").count())
+    assert(small("assays").rows.size < repo("assays").rows.size)
   }
 }

@@ -6,8 +6,10 @@ import repro.core.{ColumnRef, NoiseLevel}
 class QueryGenSpec extends SparkSpec {
   private lazy val repo = WdcLite(spark)
   private lazy val valueCache = scala.collection.mutable.Map.empty[ColumnRef, Vector[String]]
-  private def values(c: ColumnRef): Vector[String] = valueCache.getOrElseUpdate(c,
-    repo(c.table).select(c.column).distinct().collect().map(_.getString(0)).toVector.sorted)
+  private def values(c: ColumnRef): Vector[String] = valueCache.getOrElseUpdate(c, {
+    val t = repo(c.table); val i = t.columns.indexOf(c.column)
+    t.rows.map(_(i)).distinct.sorted
+  })
 
   private lazy val gt = repo.groundTruths.head
 

@@ -5,22 +5,22 @@ import org.scalacheck.{Gen, Prop, Test => SCTest}
 
 import repro.SparkSpec
 import repro.core.ColumnRef
-import repro.data.{ChemblLite, TableRepo, WdcLite}
+import repro.data.{ChemblLite, Table, TableRepo, WdcLite}
 
-/** Tests the offline index builder (one collect per table → inverted-index
+/** Tests the offline index builder (driver-side rows → inverted-index
   * containment → online index) end to end on small repos, and its
   * containment map against a brute-force pairwise-intersection oracle.
   */
 class DiscoveryIndexSpec extends SparkSpec {
 
   private lazy val repo = TableRepo("idx-test", Map(
-    "users"    -> TableRepo.df(spark, Seq("uid", "city"), Seq(
+    "users"    -> Table(Seq("uid", "city"), Seq(
       Seq("u1", "paris"), Seq("u2", "tokyo"), Seq("u3", "lima"))),
-    "orders"   -> TableRepo.df(spark, Seq("uid", "item"), Seq(
+    "orders"   -> Table(Seq("uid", "item"), Seq(
       Seq("u1", "pen"), Seq("u2", "ink"), Seq("u2", "pad"))),
-    "cities"   -> TableRepo.df(spark, Seq("city", "pop"), Seq(
+    "cities"   -> Table(Seq("city", "pop"), Seq(
       Seq("paris", "2m"), Seq("tokyo", "14m"), Seq("oslo", "0.7m"))),
-    "unrelated" -> TableRepo.df(spark, Seq("w"), Seq(Seq("zzz"))),
+    "unrelated" -> Table(Seq("w"), Seq(Seq("zzz"))),
   ), Vector.empty)
 
   private lazy val index = DiscoveryIndexBuilder.build(spark, repo, threshold = 0.6)
@@ -85,11 +85,11 @@ class DiscoveryIndexSpec extends SparkSpec {
 
   // ---- containment on a hand-computed repo --------------------------------
   private lazy val small = TableRepo("prof-test", Map(
-    "t1" -> TableRepo.df(spark, Seq("a", "b"), Seq(
+    "t1" -> Table(Seq("a", "b"), Seq(
       Seq("x", "1"), Seq("y", "2"), Seq("x", "3"))),
-    "t2" -> TableRepo.df(spark, Seq("a2", "c"), Seq(
+    "t2" -> Table(Seq("a2", "c"), Seq(
       Seq("x", "1"), Seq("y", "9"), Seq("z", "9"))),
-    "t3" -> TableRepo.df(spark, Seq("d"), Seq(Seq("q"))),
+    "t3" -> Table(Seq("d"), Seq(Seq("q"))),
   ), Vector.empty)
   private lazy val smallAll = DiscoveryIndexBuilder.build(spark, small, threshold = 0.0)
   private val t1a = ColumnRef("t1", "a")
@@ -109,7 +109,7 @@ class DiscoveryIndexSpec extends SparkSpec {
   }
   test("same-table column pairs are excluded") {
     val same = TableRepo("same", Map(
-      "t" -> TableRepo.df(spark, Seq("p", "q"), Seq(Seq("v", "v")))), Vector.empty)
+      "t" -> Table(Seq("p", "q"), Seq(Seq("v", "v")))), Vector.empty)
     assert(DiscoveryIndexBuilder.build(spark, same, threshold = 0.0).containment.isEmpty)
   }
   test("one containment entry per unordered pair, in canonical order") {
@@ -119,8 +119,8 @@ class DiscoveryIndexSpec extends SparkSpec {
   }
   test("containment is case-sensitive while searchKeyword is not") {
     val cased = TableRepo("case", Map(
-      "a" -> TableRepo.df(spark, Seq("city"), Seq(Seq("Paris"))),
-      "b" -> TableRepo.df(spark, Seq("city"), Seq(Seq("paris")))), Vector.empty)
+      "a" -> Table(Seq("city"), Seq(Seq("Paris"))),
+      "b" -> Table(Seq("city"), Seq(Seq("paris")))), Vector.empty)
     val idx = DiscoveryIndexBuilder.build(spark, cased, threshold = 0.0)
     assert(idx.containment.isEmpty)
     assert(idx.searchKeyword("paris").toSet == Set(ColumnRef("a", "city"), ColumnRef("b", "city")))
@@ -139,9 +139,9 @@ class DiscoveryIndexSpec extends SparkSpec {
     }
   }
   test("columnValues equal Spark's per-column distinct value sets on chembl-lite") {
-    val values = chembl.tables.toVector.flatMap { case (t, df) =>
-      val sets = df.select(df.columns.toIndexedSeq.map(c => collect_set(col(c))): _*).head()
-      df.columns.toVector.zipWithIndex.map { case (c, i) => ColumnRef(t, c) -> sets.getSeq[String](i).toSet }
+    val values = chembl.tables.toVector.flatMap { case (t, table) =>
+      val sets = dataFrame(table).select(table.columns.map(c => collect_set(col(c))): _*).head()
+      table.columns.zipWithIndex.map { case (c, i) => ColumnRef(t, c) -> sets.getSeq[String](i).toSet }
     }.toMap
     assert(DiscoveryIndexBuilder.build(spark, chembl).columnValues == values)
   }
@@ -160,7 +160,7 @@ class DiscoveryIndexSpec extends SparkSpec {
         (s"t$i", (0 until nCols).map(j => s"c$j"), rows)
       }
       val r = TableRepo("rand", named.map { case (t, cs, rows) =>
-        t -> TableRepo.df(spark, cs, rows) }.toMap, Vector.empty)
+        t -> Table(cs, rows) }.toMap, Vector.empty)
       val values = named.flatMap { case (t, cs, rows) =>
         cs.zipWithIndex.map { case (c, j) => ColumnRef(t, c) -> rows.map(_(j)).toSet }
       }.toMap

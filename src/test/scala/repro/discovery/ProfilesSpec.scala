@@ -2,7 +2,7 @@ package repro.discovery
 
 import repro.SparkSpec
 import repro.core.ColumnRef
-import repro.data.TableRepo
+import repro.data.{Table, TableRepo}
 
 /** Tests the per-column profiles the index builder collects (distinct value
   * sets, their sizes, and the overlapping column pairs at threshold 0)
@@ -11,11 +11,11 @@ import repro.data.TableRepo
 class ProfilesSpec extends SparkSpec {
 
   private lazy val repo = TableRepo("prof-test", Map(
-    "t1" -> TableRepo.df(spark, Seq("a", "b"), Seq(
+    "t1" -> Table(Seq("a", "b"), Seq(
       Seq("x", "1"), Seq("y", "2"), Seq("x", "3"))),
-    "t2" -> TableRepo.df(spark, Seq("a2", "c"), Seq(
+    "t2" -> Table(Seq("a2", "c"), Seq(
       Seq("x", "1"), Seq("y", "9"), Seq("z", "9"))),
-    "t3" -> TableRepo.df(spark, Seq("d"), Seq(Seq("q"))),
+    "t3" -> Table(Seq("d"), Seq(Seq("q"))),
   ), Vector.empty)
 
   private lazy val index = DiscoveryIndexBuilder.build(spark, repo, threshold = 0.0)
