@@ -162,40 +162,38 @@ object ViewDistillation {
     }
   }
 
-  /** The full distillation pipeline over a candidate-view collection. */
+  /** The full distillation pipeline over a candidate-view collection. Views
+    * are compared only inside their schema block, so the blocks run as
+    * independent common-pool tasks; their reports combine in block order.
+    */
   def distill(views: Seq[MatView]): DistillReport = {
-    val blocks = schemaBlocks(views)
-    val edges = Vector.newBuilder[ViewEdge]
-    var afterC1 = 0; var afterC2 = 0; var worst = 0; var best = 0
-    val distilled = Vector.newBuilder[MatView]
-    val contradictions = Vector.newBuilder[Contradiction]
-    for (block <- blocks) {
-      val (c1, compatEdges) = dedupCompatible(block)
-      edges ++= compatEdges
-      afterC1 += c1.size
-      val (c2, containEdges) = keepLargestContained(c1)
-      edges ++= containEdges
-      afterC2 += c2.size
-      distilled ++= c2
-      val keys = c2.flatMap(_.candidateKeys).distinct.sorted
-      for (k <- keys) {
-        val cs = contradictionsFor(c2, k)
-        contradictions ++= cs
-        edges ++= cs.flatMap { c =>
-          for {
-            i <- c.sides.indices; j <- i + 1 until c.sides.size
-            a <- c.sides(i).toVector.sorted; b <- c.sides(j).toVector.sorted
-          } yield ViewEdge(a, b, Rel.Contradictory, Some(k))
-        }
-        edges ++= complementaryPairs(c2, k).map { case (a, b) =>
-          ViewEdge(a.id, b.id, Rel.Complementary, Some(k))
-        }
+    val parts = Par.map(schemaBlocks(views))(distillBlock)
+    DistillReport(views.size, parts.map(_.afterCompatible).sum, parts.map(_.afterContained).sum,
+      parts.map(_.c3Worst).sum, parts.map(_.c3Best).sum, parts.flatMap(_.edges).distinct,
+      parts.flatMap(_.distilled), parts.flatMap(_.contradictions).distinct)
+  }
+
+  /** Algorithm 3 over one schema block. */
+  private def distillBlock(block: Vector[MatView]): DistillReport = {
+    val (c1, compatEdges) = dedupCompatible(block)
+    val (c2, containEdges) = keepLargestContained(c1)
+    val keys = c2.flatMap(_.candidateKeys).distinct.sorted
+    val byKey = keys.map { k =>
+      val cs = contradictionsFor(c2, k)
+      val contradictory = cs.flatMap { c =>
+        for {
+          i <- c.sides.indices; j <- i + 1 until c.sides.size
+          a <- c.sides(i).toVector.sorted; b <- c.sides(j).toVector.sorted
+        } yield ViewEdge(a, b, Rel.Contradictory, Some(k))
       }
-      val (w, b) = c3Counts(c2)
-      worst += w; best += b
+      val complementary = complementaryPairs(c2, k).map { case (a, b) =>
+        ViewEdge(a.id, b.id, Rel.Complementary, Some(k))
+      }
+      (cs, contradictory ++ complementary)
     }
-    DistillReport(views.size, afterC1, afterC2, worst, best,
-      edges.result().distinct, distilled.result(), contradictions.result().distinct)
+    val (worst, best) = c3Counts(c2)
+    DistillReport(block.size, c1.size, c2.size, worst, best,
+      compatEdges ++ containEdges ++ byKey.flatMap(_._2), c2, byKey.flatMap(_._1))
   }
 
   /** Fig. 2 machinery: sequential contradiction-driven pruning. At each

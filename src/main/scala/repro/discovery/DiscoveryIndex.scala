@@ -24,12 +24,14 @@ final class DiscoveryIndex(
   def values(c: ColumnRef): Vector[String] =
     columnValues.getOrElse(c, sys.error(s"unknown column $c")).toVector.sorted
 
-  /** Case-insensitive value inverted index. */
-  private lazy val valueIndex: Map[String, Vector[ColumnRef]] =
-    columnValues.toVector
-      .flatMap { case (c, vs) => vs.map(v => (v.toLowerCase, c)) }
-      .groupBy(_._1)
-      .map { case (v, cs) => v -> cs.map(_._2).sortBy(c => (c.table, c.column)) }
+  /** Case-insensitive value inverted index, built in one pass. A column
+    * holding several case variants of a value is listed once per variant.
+    */
+  private lazy val valueIndex: Map[String, Vector[ColumnRef]] = {
+    val holders = mutable.HashMap.empty[String, mutable.ArrayBuffer[ColumnRef]]
+    for ((c, vs) <- columnValues; v <- vs) holders.getOrElseUpdate(v.toLowerCase, mutable.ArrayBuffer.empty) += c
+    holders.iterator.map { case (v, cs) => v -> cs.toVector.sortBy(c => (c.table, c.column)) }.toMap
+  }
 
   /** SEARCH-KEYWORD(value): columns containing the value (exact match,
     * case-insensitive — see DESIGN.md substitution 6 for the fuzzy case).

@@ -226,24 +226,43 @@ class FourCSpec extends AnyFunSuite {
     val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(60), prop)
     assert(res.passed, res.status.toString)
   }
-  test("randomized: 4C counts are monotone, the report ignores view order, counts ignore id renaming") {
-    // Two schema blocks over a small value domain, so compatible, contained,
-    // complementary and contradictory pairs all occur.
-    val viewGen = for {
-      cols <- Gen.oneOf(kv, ("k", "w"))
+  /** Random view sets over 1–6 schema blocks and a small value domain, so
+    * compatible, contained, complementary and contradictory pairs all occur.
+    */
+  private val viewSetGen: Gen[Vector[MatView]] = {
+    val schemas = Vector(kv, ("k", "w"), ("a", "k"), ("v", "w"), ("a", "b"), ("p", "q"))
+    def viewGen(blocks: Int) = for {
+      cols <- Gen.oneOf(schemas.take(blocks))
       rows <- Gen.choose(1, 4).flatMap(n => Gen.listOfN(n, Gen.zip(Gen.oneOf("1", "2", "3"), Gen.oneOf("x", "y", "z"))))
     } yield (cols, rows)
-    val caseGen = Gen.zip(Gen.choose(0, 8).flatMap(n => Gen.listOfN(n, viewGen)), Gen.long)
+    for {
+      blocks <- Gen.choose(1, schemas.size)
+      gen <- Gen.choose(0, 12).flatMap(n => Gen.listOfN(n, viewGen(blocks)))
+    } yield gen.zipWithIndex.map { case ((cols, rows), i) => mv(s"g$i", cols, rows: _*) }.toVector
+  }
+
+  test("randomized: 4C counts are monotone, the report ignores view order, counts ignore id renaming") {
+    val caseGen = Gen.zip(viewSetGen, Gen.long)
     def counts(r: DistillReport) = Vector(r.original, r.afterCompatible, r.afterContained, r.c3Worst, r.c3Best)
-    val prop = Prop.forAllNoShrink(caseGen) { case (gen, seed) =>
+    val prop = Prop.forAllNoShrink(caseGen) { case (views, seed) =>
       val rnd = new Random(seed)
-      val views = gen.zipWithIndex.map { case ((cols, rows), i) => mv(s"g$i", cols, rows: _*) }.toVector
       val report = ViewDistillation.distill(views)
       val expected = counts(report)
       val renamed = views.zip(rnd.shuffle(views.indices.toVector)).map { case (v, j) => v.copy(id = s"r$j") }
       expected.zip(expected.tail).forall { case (a, b) => a >= b } :| s"not monotone: $expected" &&
         (ViewDistillation.distill(rnd.shuffle(views)) == report) :| "view order changed the report" &&
         (counts(ViewDistillation.distill(rnd.shuffle(renamed))) == expected) :| "renaming ids changed the counts"
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(200), prop)
+    assert(res.passed, res.status.toString)
+  }
+  test("randomized: distill equals its schema blocks' reports combined in block order") {
+    val prop = Prop.forAllNoShrink(viewSetGen) { views =>
+      val parts = ViewDistillation.schemaBlocks(views).map(ViewDistillation.distill)
+      val combined = DistillReport(parts.map(_.original).sum, parts.map(_.afterCompatible).sum,
+        parts.map(_.afterContained).sum, parts.map(_.c3Worst).sum, parts.map(_.c3Best).sum,
+        parts.flatMap(_.edges).distinct, parts.flatMap(_.distilled), parts.flatMap(_.contradictions).distinct)
+      (ViewDistillation.distill(views) == combined) :| s"${parts.size} blocks"
     }
     val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(200), prop)
     assert(res.passed, res.status.toString)

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalacheck.Prop.propBoolean
+import java.util.concurrent.{ExecutionException, FutureTask, TimeUnit, TimeoutException}
 import scala.util.Random
 
 import repro.{Oracle, SparkSpec}
@@ -132,25 +133,75 @@ class MaterializerSpec extends SparkSpec {
   }
 
   // ---- the Table IV workload ----------------------------------------------
+  /** Per corpus, the top-100 specs of each zero-noise Table IV query. */
+  private lazy val workload: Seq[(TableRepo, Seq[(String, Vector[ViewSpec])])] = Seq(
+    ChemblLite(spark) -> Seq("chembl-Q1", "chembl-Q2", "chembl-Q3", "chembl-Q4", "chembl-Q5"),
+    WdcLite(spark) -> Seq("wdc-Q2", "wdc-Q3"),
+  ).map { case (r, gtNames) =>
+    val index = DiscoveryIndexBuilder.build(spark, r)
+    val ver = new Ver(r, index)
+    r -> r.groundTruths.filter(gt => gtNames.contains(gt.name)).map { gt =>
+      gt.name -> ver.searchSpecs(QueryGen.generate(gt, NoiseLevel.Zero, 0, index.values).query).specs.take(100)
+    }
+  }
+
   test("every top-100 spec of each zero-noise Table IV query matches DuckDB") {
-    val workload = Seq(
-      ChemblLite(spark) -> Seq("chembl-Q1", "chembl-Q2", "chembl-Q3", "chembl-Q4", "chembl-Q5"),
-      WdcLite(spark) -> Seq("wdc-Q2", "wdc-Q3"))
-    val checked = workload.map { case (r, gtNames) =>
-      val index = DiscoveryIndexBuilder.build(spark, r)
-      val ver = new Ver(r, index)
+    val checked = workload.map { case (r, queries) =>
       val db = Oracle.load(r)
-      try r.groundTruths.filter(gt => gtNames.contains(gt.name)).map { gt =>
-        val nq = QueryGen.generate(gt, NoiseLevel.Zero, 0, index.values)
-        val views = ver.materialize(ver.searchSpecs(nq.query), limit = 100)
+      try queries.map { case (name, specs) =>
+        val views = Materializer.materializeAll(r, specs)
         val wrong = views.filter(v => db.view(v.spec, v.id) != v)
-        assert(wrong.isEmpty, s"${gt.name}: ${wrong.size} views differ, first ${wrong.take(3).map(_.spec)}")
+        assert(wrong.isEmpty, s"$name: ${wrong.size} views differ, first ${wrong.take(3).map(_.spec)}")
         views.size
       }.sum
       finally db.close()
     }
     // Table IV's Original counts at zero noise: 24+23+80+100+20 and 100+66.
     assert(checked == Seq(247, 166))
+  }
+
+  // ---- the per-spec fan-out -----------------------------------------------
+  test("materializeAll equals materializing each spec in rank order on every zero-noise Table IV query") {
+    val checked = for ((r, queries) <- workload; (name, specs) <- queries) yield {
+      val serial = specs.zipWithIndex.map { case (s, i) => Materializer.materialize(r, s, f"v$i%04d") }
+      assert(Materializer.materializeAll(r, specs) == serial, name)
+      specs.size
+    }
+    assert(checked.sum == 413)
+  }
+
+  /** `body` on its own thread: its result or failure, or a test failure
+    * after `seconds` instead of a hang.
+    */
+  private def within[T](seconds: Int)(body: => T): Either[Throwable, T] = {
+    val task = new FutureTask[T](() => body)
+    val thread = new Thread(task)
+    thread.setDaemon(true)
+    thread.start()
+    try Right(task.get(seconds.toLong, TimeUnit.SECONDS))
+    catch {
+      case e: ExecutionException => Left(e.getCause)
+      case _: TimeoutException => fail(s"no result after $seconds s")
+    }
+  }
+
+  test("materializeAll rethrows a disconnected spec's own IllegalArgumentException") {
+    val disconnected = ViewSpec(Set("orders", "cities"), Set.empty,
+      Vector(c("orders", "oid"), c("cities", "city")))
+    val direct = intercept[IllegalArgumentException](Materializer.materialize(repo, disconnected, "v0001"))
+    val specs = Seq(ViewSpec.singleTable(Vector(c("orders", "oid"))), disconnected, join1)
+    within(60)(Materializer.materializeAll(repo, specs)) match {
+      case Left(e: IllegalArgumentException) => assert(e.getMessage == direct.getMessage)
+      case other => fail(s"expected the IllegalArgumentException, got $other")
+    }
+  }
+
+  test("Par.map surfaces a task's StackOverflowError to the caller") {
+    def deep(n: Int): Int = if (n < 0) 0 else deep(n + 1) + 1
+    within(60)(Par.map(1 to 8)(i => if (i == 5) deep(0) else i)) match {
+      case Left(_: StackOverflowError) => succeed
+      case other => fail(s"expected a StackOverflowError, got $other")
+    }
   }
 
   // ---- randomized invariants ----------------------------------------------

@@ -1,5 +1,7 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
+import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
@@ -76,6 +78,30 @@ class PresenterSpec extends AnyFunSuite {
     val p = new Presenter(r.distilled, r, scores)
     val s = p.run(SimUser("u", alwaysAnswer, patience = 3, seed = 7), two(0))
     assert(s.found && s.interactions == 1)
+  }
+
+  test("randomized: a truthful SimUser that always answers never loses its target") {
+    val viewGen = for {
+      cols <- Gen.oneOf(("k", "v"), ("k", "w"), ("a", "k"))
+      rows <- Gen.choose(1, 4).flatMap(n => Gen.listOfN(n, Gen.zip(Gen.oneOf("1", "2", "3"), Gen.oneOf("x", "y", "z"))))
+    } yield (cols, rows)
+    val caseGen = for {
+      n <- Gen.choose(1, 12)
+      gen <- Gen.listOfN(n, viewGen)
+      scores <- Gen.listOfN(n, Gen.choose(0, 3))
+      target <- Gen.choose(0, n - 1)
+      patience <- Gen.choose(1, 10)
+      seed <- Gen.long
+    } yield (gen, scores, target, patience, seed)
+    val prop = Prop.forAllNoShrink(caseGen) { case (gen, scores, target, patience, seed) =>
+      val vs = gen.zipWithIndex.map { case ((cols, rows), i) => mv(s"g$i", cols, rows: _*) }.toVector
+      val r = ViewDistillation.distill(vs)
+      val p = new Presenter(r.distilled, r, vs.map(_.id).zip(scores.map(_.toDouble)).toMap)
+      val s = p.run(SimUser("truthful", alwaysAnswer, patience, seed), vs(target))
+      s.found :| s"target ${vs(target).id} of ${vs.map(v => v.id -> v.rows)}: $s"
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(500), prop)
+    assert(res.passed, res.status.toString)
   }
 
   test("SimUser attribute answers follow the target schema") {

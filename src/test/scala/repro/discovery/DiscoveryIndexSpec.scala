@@ -145,6 +145,21 @@ class DiscoveryIndexSpec extends SparkSpec {
     }.toMap
     assert(DiscoveryIndexBuilder.build(spark, chembl).columnValues == values)
   }
+  test("searchKeyword equals the flatten-groupBy-sort definition on every value of chembl-lite and wdc-lite") {
+    for (corpus <- Vector(chembl, WdcLite(spark))) {
+      val idx = DiscoveryIndexBuilder.build(spark, corpus)
+      // The index's earlier definition: every (lower-cased value, column)
+      // pair, grouped by value, each group sorted by (table, column).
+      val expected = idx.columnValues.toVector
+        .flatMap { case (c, vs) => vs.map(v => (v.toLowerCase, c)) }
+        .groupBy(_._1)
+        .map { case (v, cs) => v -> cs.map(_._2).sortBy(c => (c.table, c.column)) }
+      val probes = idx.columnValues.values.flatten.toVector.distinct
+      assert(probes.size > 1000, s"${corpus.name}: ${probes.size} values")
+      for (v <- probes; p <- Vector(v, v.toUpperCase))
+        assert(idx.searchKeyword(p) == expected.getOrElse(p.toLowerCase, Vector.empty), s"${corpus.name}: $p")
+    }
+  }
 
   // ---- randomized invariants ----------------------------------------------
   test("randomized: builder equals the oracle, containmentOf is symmetric, edges shrink with the threshold") {
